@@ -1,10 +1,9 @@
 //! Criterion benchmark for the batched scoring kernel: the candidate ×
 //! sample utility evaluation that dominates every elicitation round, measured
 //! scalar (row-at-a-time over per-sample `Vec`s, the pre-columnar code shape)
-//! versus lane-blocked ([`score_batch`]) versus manually unrolled
-//! ([`score_batch_unrolled`]) versus threaded ([`score_batch_threaded`]), on
-//! a Figure-8-scale workload (5 features, a full candidate slate, thousands
-//! of pooled samples).
+//! versus lane-blocked ([`score_batch`], the production kernel) versus
+//! threaded ([`score_batch_threaded`]), on a Figure-8-scale workload
+//! (5 features, a full candidate slate, thousands of pooled samples).
 //!
 //! Besides the Criterion groups, the bench manually times one sweep per
 //! kernel shape and — outside `-- --test` smoke mode — writes the series to
@@ -16,9 +15,7 @@ use pkgrec_bench::report::{bench_environment, BenchEnvironment};
 use pkgrec_bench::workload::{Workload, WorkloadConfig};
 use pkgrec_core::constraints::{ConstraintChecker, ConstraintSource};
 use pkgrec_core::sampler::{RejectionSampler, WeightSampler};
-use pkgrec_core::scoring::{
-    score_batch, score_batch_threaded, score_batch_unrolled, CandidateMatrix,
-};
+use pkgrec_core::scoring::{score_batch, score_batch_threaded, CandidateMatrix};
 use pkgrec_core::utility::dot;
 use pkgrec_core::{package_space_size, random_package};
 use serde::Serialize;
@@ -27,7 +24,7 @@ use std::time::Instant;
 /// One manually timed kernel shape in `BENCH_scoring.json`.
 #[derive(Debug, Serialize)]
 struct ScoringPoint {
-    /// Kernel shape ("scalar" / "lane-blocked" / "unrolled" / "threaded_N").
+    /// Kernel shape ("scalar" / "lane-blocked" / "threaded_N").
     path: String,
     /// Mean nanoseconds per full candidate × sample sweep.
     mean_ns: f64,
@@ -125,10 +122,10 @@ fn bench_fig_scoring(c: &mut Criterion) {
     let sample_rows = pool.weight_rows();
     let importances = pool.importances().to_vec();
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(8);
+    // The threaded row never claims more threads than the recorded
+    // environment has cores.
+    let environment = bench_environment();
+    let threads = environment.available_parallelism.min(8);
     let mut group = c.benchmark_group("fig_scoring_kernel");
     let shape = format!("{CANDIDATES}x{SAMPLES}");
     group.bench_with_input(BenchmarkId::new("scalar", &shape), &(), |b, ()| {
@@ -162,18 +159,15 @@ fn bench_fig_scoring(c: &mut Criterion) {
     );
     group.finish();
 
-    // Correctness backing for the timing: all four paths agree (the
-    // blocked/unrolled/threaded kernels bit-identically, the scalar shape to
+    // Correctness backing for the timing: all three paths agree (the
+    // blocked and threaded kernels bit-identically, the scalar shape to
     // 1e-12 — it sums in a different association order).
     let scalar = scalar_phase(&candidate_rows, &sample_rows, &importances);
     let batched =
         score_batch(&candidates, pool.weight_matrix()).weighted_expectations(&importances);
-    let unrolled =
-        score_batch_unrolled(&candidates, pool.weight_matrix()).weighted_expectations(&importances);
     let threaded = score_batch_threaded(&candidates, pool.weight_matrix(), threads)
         .weighted_expectations(&importances);
     assert_eq!(batched, threaded);
-    assert_eq!(batched, unrolled);
     for (s, b) in scalar.iter().zip(batched.iter()) {
         assert!((s - b).abs() < 1e-12, "scalar {s} vs batched {b}");
     }
@@ -200,18 +194,6 @@ fn bench_fig_scoring(c: &mut Criterion) {
             time_sweeps(
                 || {
                     black_box(score_batch(
-                        black_box(&candidates),
-                        black_box(pool.weight_matrix()),
-                    ));
-                },
-                iters,
-            ),
-        ),
-        (
-            "unrolled".to_string(),
-            time_sweeps(
-                || {
-                    black_box(score_batch_unrolled(
                         black_box(&candidates),
                         black_box(pool.weight_matrix()),
                     ));
@@ -257,7 +239,7 @@ fn bench_fig_scoring(c: &mut Criterion) {
     if !test_mode {
         let record = BenchRecord {
             bench: "fig_scoring",
-            environment: bench_environment(),
+            environment,
             candidates: CANDIDATES,
             samples: SAMPLES,
             features: 5,

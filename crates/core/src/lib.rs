@@ -21,7 +21,7 @@
 //! | [`item`], [`package`], [`profile`], [`utility`] | §2 | catalog, packages, aggregate feature profiles, linear utility |
 //! | [`preferences`], [`constraints`], [`noise`] | §2.1, §3.3, §7 | feedback DAG, transitive reduction, constraint checking, noise model |
 //! | [`sampler`] | §3.1–3.2 | rejection / importance / MCMC constrained samplers |
-//! | [`scoring`] | — | columnar weight/candidate matrices and the batched `packages × samples` scoring kernel |
+//! | [`scoring`] | — | columnar weight/candidate matrices and the lane-blocked `packages × samples` scoring kernel |
 //! | [`maintenance`] | §3.4 | naive / TA / hybrid sample maintenance (Algorithm 1) |
 //! | [`ranking`] | §2.2, §4 | EXP, TKP and MPO ranking semantics |
 //! | [`search`] | §4 | Top-k-Pkg (Algorithms 2–4) and the exhaustive baseline |
@@ -68,6 +68,13 @@
 //! assert_eq!(restored.preferences().len(), engine.preferences().len());
 //! ```
 //!
+//! One round has one code path: [`RecommenderEngine::present`] runs the
+//! per-sample `Top-k-Pkg` discovery, scores the union of discovered
+//! candidates against the whole pool in one
+//! [`score_batch_threaded`] sweep, aggregates under the ranking semantics
+//! and appends the random exploration tail.  Discovery dominates the
+//! round; the kernel sweep is a small fraction of it.
+//!
 //! Driving one engine by hand is the single-session story.  To serve *many*
 //! sessions — sharded across threads, addressed by id, spilled to snapshots
 //! under memory pressure and rebuilt bit-identically from an append-only
@@ -102,7 +109,7 @@ pub use elicitation::{
     random_ground_truth_weights, run_elicitation, ElicitationConfig, ElicitationReport,
     SimulatedUser,
 };
-pub use engine::{score_stacked, EngineConfig, PresentPrep, RecommenderEngine, StackedScores};
+pub use engine::{EngineConfig, RecommenderEngine};
 pub use error::{CoreError, Result};
 pub use item::{Catalog, ItemId};
 pub use maintenance::{
@@ -119,8 +126,8 @@ pub use sampler::{
     SamplingOutcome, WeightSample, WeightSampler,
 };
 pub use scoring::{
-    score_batch, score_batch_threaded, score_batch_unrolled, CandidateMatrix, ScoreMatrix,
-    WeightMatrix, SAMPLE_BLOCK, WEIGHT_STRIDE_LANES,
+    score_batch, score_batch_threaded, CandidateMatrix, ScoreMatrix, WeightMatrix, SAMPLE_BLOCK,
+    WEIGHT_STRIDE_LANES,
 };
 pub use search::{
     top_k_packages, top_k_packages_exhaustive, top_k_packages_reference, top_k_packages_with_lists,

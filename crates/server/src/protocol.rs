@@ -35,9 +35,14 @@ use serde::{Deserialize, Serialize};
 pub const HELLO_MAGIC: [u8; 7] = *b"PKGSRV\0";
 
 /// Wire protocol version, bumped on any framing or payload schema change.
-/// v4 grew [`StoreStats`] with the cross-shard batching counters
-/// (`batched_sessions`, `admission_fallbacks`, `batch_wait_us`).
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// * v2 grew [`StoreStats`] with two batched-present counters.
+/// * v3 gave `WireError` its `io_kind` and `shard` fields, `ErrorKind`
+///   its `Degraded` kind, and [`StoreStats`] its fault counters.
+/// * v4 grew [`StoreStats`] with three cross-shard batching counters.
+/// * v5 shrank [`StoreStats`] again: the batched present path is gone, and
+///   all five batching counters with it.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Hello length: magic + u32 LE version.
 pub const HELLO_LEN: usize = HELLO_MAGIC.len() + 4;

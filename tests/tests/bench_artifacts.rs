@@ -5,6 +5,7 @@
 //! that drops a field (or a figure that silently stops writing a series)
 //! fails the build instead of shipping a hollow artifact.
 
+use pkgrec_serve::StoreStats;
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -31,15 +32,14 @@ fn str_field(name: &str, value: &Value, key: &str) -> String {
 }
 
 /// Every artifact embeds the environment it was measured under, so a number
-/// can always be read next to the hardware that produced it.
-fn assert_environment(name: &str, record: &Value) {
+/// can always be read next to the hardware that produced it.  Returns the
+/// recorded `available_parallelism`.
+fn assert_environment(name: &str, record: &Value) -> i128 {
     let env = field(name, record, "environment");
-    assert!(
-        field(name, env, "available_parallelism")
-            .as_i128()
-            .is_some_and(|p| p >= 1),
-        "{name}: environment.available_parallelism must be >= 1"
-    );
+    let parallelism = field(name, env, "available_parallelism")
+        .as_i128()
+        .filter(|&p| p >= 1)
+        .unwrap_or_else(|| panic!("{name}: environment.available_parallelism must be >= 1"));
     for key in ["os", "arch"] {
         assert!(
             !str_field(name, env, key).is_empty(),
@@ -51,6 +51,7 @@ fn assert_environment(name: &str, record: &Value) {
         "release",
         "{name}: committed artifacts must be measured in release builds"
     );
+    parallelism
 }
 
 fn points<'a>(name: &str, record: &'a Value, key: &str) -> &'a [Value] {
@@ -68,22 +69,49 @@ fn series_paths(name: &str, record: &Value, key: &str) -> Vec<String> {
         .collect()
 }
 
+fn keys(name: &str, value: &Value) -> Vec<String> {
+    value
+        .as_object()
+        .unwrap_or_else(|| panic!("{name}: expected a JSON object"))
+        .iter()
+        .map(|(key, _)| key.clone())
+        .collect()
+}
+
+/// A recorded `store` block must carry exactly the counters [`StoreStats`]
+/// serialises today — no stale counter of a removed path, none missing.
+fn assert_store_stats(name: &str, store: &Value) {
+    let current = serde_json::to_value(&StoreStats::default()).expect("StoreStats serialises");
+    assert_eq!(
+        keys(name, store),
+        keys(name, &current),
+        "{name}: a `store` block must carry exactly the current StoreStats counters"
+    );
+}
+
 #[test]
 fn scoring_artifact_records_every_kernel_shape() {
     let name = "BENCH_scoring.json";
     let record = artifact(name);
     assert_eq!(str_field(name, &record, "bench"), "fig_scoring");
-    assert_environment(name, &record);
+    let parallelism = assert_environment(name, &record);
     let paths = series_paths(name, &record, "points");
-    for required in ["scalar", "lane-blocked", "unrolled"] {
-        assert!(
-            paths.iter().any(|p| p == required),
-            "{name} must record the `{required}` kernel shape, got {paths:?}"
-        );
-    }
+    assert_eq!(
+        paths.len(),
+        3,
+        "{name} must record exactly scalar, lane-blocked and one threaded shape, got {paths:?}"
+    );
+    assert_eq!(paths[0], "scalar", "{name}: got {paths:?}");
+    assert_eq!(paths[1], "lane-blocked", "{name}: got {paths:?}");
+    let threads: i128 = paths[2]
+        .strip_prefix("threaded_")
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{name} must record a `threaded_N` shape, got {paths:?}"));
+    // A threaded row cannot have measured more threads than the recorded
+    // machine had cores.
     assert!(
-        paths.iter().any(|p| p.starts_with("threaded_")),
-        "{name} must record a threaded kernel shape, got {paths:?}"
+        (1..=parallelism).contains(&threads),
+        "{name}: `threaded_{threads}` claims more threads than available_parallelism {parallelism}"
     );
     for point in points(name, &record, "points") {
         for key in ["mean_ns", "cells_per_sec", "speedup_vs_scalar"] {
@@ -96,68 +124,50 @@ fn scoring_artifact_records_every_kernel_shape() {
 }
 
 #[test]
-fn serving_artifact_records_the_batched_path() {
+fn serving_artifact_records_every_serving_path() {
     let name = "BENCH_serving.json";
     let record = artifact(name);
     assert_eq!(str_field(name, &record, "bench"), "fig_serving");
     assert_environment(name, &record);
+    // Each shard count records the store-hit path, then snapshot-restore.
     let paths = series_paths(name, &record, "points");
-    for required in [
-        "store-hit",
-        "batched",
-        "batched-xshard",
-        "admission-fallback",
-        "snapshot-restore",
-    ] {
-        assert!(
-            paths.iter().any(|p| p == required),
-            "{name} must record the `{required}` path, got {paths:?}"
-        );
-    }
-    for point in points(name, &record, "points") {
+    assert!(
+        !paths.is_empty()
+            && paths
+                .chunks(2)
+                .all(|pair| pair == ["store-hit", "snapshot-restore"]),
+        "{name} must record exactly store-hit and snapshot-restore per shard count, got {paths:?}"
+    );
+    let list = points(name, &record, "points");
+    for point in list {
         assert!(
             field(name, point, "sessions_per_sec")
                 .as_f64()
                 .is_some_and(|v| v > 0.0),
             "{name}: every point needs a positive `sessions_per_sec`"
         );
-        let store = field(name, point, "store");
-        match str_field(name, point, "path").as_str() {
-            "batched" => {
-                assert!(
-                    field(name, store, "batched_presents")
-                        .as_i128()
-                        .is_some_and(|n| n > 0),
-                    "{name}: batched points must have run batched sweeps"
-                );
-            }
-            // The cross-shard scoring service must have admitted groups ...
-            "batched-xshard" => {
-                for key in ["batched_sessions", "batched_groups"] {
-                    assert!(
-                        field(name, store, key).as_i128().is_some_and(|n| n > 0),
-                        "{name}: batched-xshard points need a positive `{key}`"
-                    );
-                }
-            }
-            // ... and the forced-fallback shape must audit every decline.
-            "admission-fallback" => {
-                assert!(
-                    field(name, store, "admission_fallbacks")
-                        .as_i128()
-                        .is_some_and(|n| n > 0),
-                    "{name}: admission-fallback points must record fallbacks"
-                );
-                assert_eq!(
-                    field(name, store, "batched_sessions").as_i128(),
-                    Some(0),
-                    "{name}: admission-fallback points must not batch"
-                );
-            }
-            _ => {}
+        assert_store_stats(name, field(name, point, "store"));
+        // Same fleet, same deterministic outcomes on every path.
+        for key in ["mean_clicks", "converged", "mean_precision"] {
+            assert_eq!(
+                field(name, point, key),
+                field(name, &list[0], key),
+                "{name}: `{key}` must agree across paths"
+            );
         }
     }
-    field(name, &record, "durability");
+    let durability = field(name, &record, "durability");
+    let serving = field(name, durability, "serving");
+    assert_eq!(str_field(name, serving, "path"), "durable-log");
+    assert_store_stats(name, field(name, serving, "store"));
+    for key in ["reduction_factor", "recovery_ms"] {
+        assert!(
+            field(name, durability, key)
+                .as_f64()
+                .is_some_and(|v| v > 0.0),
+            "{name}: durability needs a positive `{key}`"
+        );
+    }
 }
 
 #[test]
@@ -187,18 +197,15 @@ fn server_artifact_records_load_levels() {
     let record = artifact(name);
     assert_eq!(str_field(name, &record, "bench"), "fig_server");
     assert_environment(name, &record);
-    let levels = points(name, &record, "levels");
-    // Every concurrency level runs both request-loop modes, and both must
-    // be shadow-clean: neither the wire nor the batcher may be observable.
-    for required in ["serial", "batched"] {
-        assert!(
-            levels
-                .iter()
-                .any(|l| str_field(name, l, "mode") == required),
-            "{name} must record the `{required}` request-loop mode"
+    // Every concurrency level runs the one request loop and must be
+    // shadow-clean: the wire may not be observable in results.
+    for level in points(name, &record, "levels") {
+        assert_eq!(
+            keys(name, level),
+            ["store", "report"],
+            "{name}: a level records exactly its store counters and load report"
         );
-    }
-    for level in levels {
+        assert_store_stats(name, field(name, level, "store"));
         let report = field(name, level, "report");
         assert_eq!(
             field(name, report, "mismatches").as_i128(),
@@ -211,34 +218,5 @@ fn server_artifact_records_load_levels() {
                 .is_some_and(|v| v > 0.0),
             "{name}: every level needs a positive `sessions_per_sec`"
         );
-        let store = field(name, level, "store");
-        match str_field(name, level, "mode").as_str() {
-            "serial" => {
-                assert_eq!(
-                    field(name, level, "batch_window_us").as_i128(),
-                    Some(0),
-                    "{name}: serial levels must run with a zero batch window"
-                );
-            }
-            "batched" => {
-                assert!(
-                    field(name, level, "batch_window_us")
-                        .as_i128()
-                        .is_some_and(|w| w > 0),
-                    "{name}: batched levels must run with a batch window"
-                );
-                // Every engine present consulted the admission policy, so
-                // its audit counters must have moved.
-                let consulted = ["batched_sessions", "admission_fallbacks"]
-                    .iter()
-                    .map(|key| field(name, store, key).as_i128().unwrap_or(0))
-                    .sum::<i128>();
-                assert!(
-                    consulted > 0,
-                    "{name}: batched levels must exercise the admission policy"
-                );
-            }
-            other => panic!("{name}: unknown request-loop mode `{other}`"),
-        }
     }
 }

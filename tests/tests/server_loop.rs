@@ -1,7 +1,7 @@
 //! The network front door (`pkgrec-server`) under test:
 //!
 //! * the wire protocol is pinned by a golden byte fixture
-//!   (`fixtures/server_frame_v4.bin`) — hello + one frame of every
+//!   (`fixtures/server_frame_v5.bin`) — hello + one frame of every
 //!   `Request` and `Response` variant; a PR that changes the framing, the
 //!   CRC, or the payload JSON must bump `PROTOCOL_VERSION` and regenerate
 //!   the fixture deliberately,
@@ -85,10 +85,6 @@ fn fixture_responses() -> Vec<Response> {
         created: 1,
         hits: 2,
         journal_events: 4,
-        // Pin the v4 cross-shard batching counters.
-        batched_sessions: 3,
-        admission_fallbacks: 1,
-        batch_wait_us: 250,
         ..StoreStats::default()
     };
     vec![
@@ -151,7 +147,7 @@ fn fixture_frame_bytes() -> Vec<u8> {
     bytes
 }
 
-const GOLDEN_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/server_frame_v4.bin");
+const GOLDEN_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/server_frame_v5.bin");
 
 /// Wire-format compatibility gate for the server protocol.  Regenerate with
 /// `UPDATE_SNAPSHOT_FIXTURE=1 cargo test -p pkgrec-integration-tests golden`.
@@ -163,14 +159,15 @@ fn golden_server_frame_fixture_stays_decodable() {
     let disk = std::fs::read(GOLDEN_FIXTURE)
         .expect("golden fixture exists (regenerate with UPDATE_SNAPSHOT_FIXTURE=1)");
 
-    // The fixture file name pins v4; bump both together, deliberately.
-    // (v1 -> v2: the Stats payload gained the batched_presents /
-    // batched_groups StoreStats counters.  v2 -> v3: WireError gained
-    // io_kind/shard, ErrorKind gained Degraded, and StoreStats gained the
-    // injected_faults / degraded_shards / rolled_back_ops counters.
-    // v3 -> v4: StoreStats gained the cross-shard scoring-service
-    // counters batched_sessions / admission_fallbacks / batch_wait_us.)
-    assert_eq!(PROTOCOL_VERSION, 4, "fixture file is named for v4");
+    // The fixture file name pins v5; bump both together, deliberately.
+    // (v1 -> v2: the Stats payload gained two batched-present StoreStats
+    // counters.  v2 -> v3: WireError gained io_kind/shard, ErrorKind gained
+    // Degraded, and StoreStats gained the injected_faults /
+    // degraded_shards / rolled_back_ops counters.  v3 -> v4: StoreStats
+    // gained three cross-shard batching counters.  v4 -> v5: the batched
+    // present path was removed, and StoreStats lost all five batching
+    // counters.)
+    assert_eq!(PROTOCOL_VERSION, 5, "fixture file is named for v5");
 
     // Encoding today must reproduce the checked-in bytes exactly: hello,
     // framing, CRC table, JSON field order and float formatting.
@@ -592,26 +589,18 @@ fn loopback_results_equal_in_process_results_bit_for_bit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The acceptance proof for the cross-shard scoring service: a server with
-/// the batch window enabled serves a concurrent mixed fleet **bit-for-bit**
-/// identically to the per-client in-process shadow stores — grouping,
-/// admission decisions and serial fallbacks are pure scheduling, invisible
+/// Several connections driving a mixed fleet at once: every wire result is
+/// **bit-for-bit** what the per-client in-process shadow stores compute —
+/// concurrent connections and shard queues are pure scheduling, invisible
 /// in every result.
 #[test]
-fn batched_request_loop_stays_bit_identical_to_the_shadow_store() {
+fn concurrent_request_loop_stays_bit_identical_to_the_shadow_store() {
     let store = SessionStore::new(StoreConfig {
         shards: 2,
         capacity_per_shard: 16,
     })
     .unwrap();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            batch_window: Duration::from_millis(5),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let control = server.control();
     let handle = std::thread::spawn(move || {
@@ -632,95 +621,13 @@ fn batched_request_loop_stays_bit_identical_to_the_shadow_store() {
     assert!(report.shadow_checked);
     assert_eq!(
         report.mismatches, 0,
-        "batched request loop diverged from the in-process shadow stores"
+        "request loop diverged from the in-process shadow stores"
     );
     assert_eq!(report.sessions, 9);
-
-    // Every engine present went through the scoring service and was either
-    // admitted to a shared sweep or declined to the serial fallback — both
-    // outcomes are accounted in the store counters.
-    let mut client = Client::connect(addr).unwrap();
-    let (_, stats) = client.stats().unwrap();
-    assert!(
-        stats.batched_sessions + stats.admission_fallbacks > 0,
-        "no present ever reached the scoring service: {stats:?}"
-    );
-    drop(client);
 
     control.shutdown();
     let report = handle.join().unwrap();
     assert_eq!(report.malformed_frames, 0);
-}
-
-/// Concurrent same-catalog presents from different connections group into
-/// shared sweeps across shard (worker) boundaries: the interned catalog
-/// handles match by pointer even though each create carried its own `Arc`,
-/// and the batching counters prove a cross-shard group formed.
-#[test]
-fn concurrent_presents_group_across_shards_over_tcp() {
-    let store = SessionStore::new(StoreConfig {
-        shards: 2,
-        capacity_per_shard: 16,
-    })
-    .unwrap();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            // A generous window so presents issued together reliably meet
-            // in one flush even on a loaded machine.
-            batch_window: Duration::from_millis(50),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let control = server.control();
-    let handle = std::thread::spawn(move || {
-        let mut store = store;
-        server.serve(&mut store).unwrap()
-    });
-
-    // Four engine sessions over content-equal catalogs (each create ships
-    // its own Arc; the store's interner canonicalises them), spread over
-    // both shards by the server's id assignment.
-    let mut setup = Client::connect(addr).unwrap();
-    let sessions: Vec<u64> = (0..4)
-        .map(|i| setup.create(fixture_config(20 + i)).unwrap())
-        .collect();
-    let mut clients: Vec<Client> = sessions
-        .iter()
-        .map(|_| Client::connect(addr).unwrap())
-        .collect();
-
-    let mut grouped = false;
-    for _round in 0..10 {
-        std::thread::scope(|scope| {
-            for (client, &id) in clients.iter_mut().zip(&sessions) {
-                scope.spawn(move || {
-                    client.present(id).unwrap();
-                });
-            }
-        });
-        let (_, stats) = setup.stats().unwrap();
-        if stats.batched_sessions > 0 {
-            assert!(stats.batched_groups > 0, "{stats:?}");
-            assert!(
-                stats.batched_presents >= stats.batched_sessions,
-                "{stats:?}"
-            );
-            grouped = true;
-            break;
-        }
-    }
-    assert!(
-        grouped,
-        "ten rounds of concurrent same-catalog presents never formed a group"
-    );
-
-    drop(clients);
-    drop(setup);
-    control.shutdown();
-    handle.join().unwrap();
 }
 
 // ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@
 //!   through its state and next recommendation),
 //! * serving outcomes are independent of the store's shard count, the
 //!   serving loop's thread count, and capacity pressure (spill/rehydrate
-//!   round trips are invisible to sessions).
+//!   round trips are invisible to sessions),
+//! * content-equal catalogs share one interned `Arc` across shards and
+//!   across a rebuild from the exported journal.
 
 use pkgrec_baselines::{BaselineSpec, EmRefitConfig, FeatureDirection};
 use pkgrec_core::prelude::*;
 use pkgrec_serve::{
-    op_rng, user_rng, LiveSession, RecommenderSpec, SessionConfig, SessionId, SessionStore,
-    StoreConfig,
+    op_rng, shard_of, user_rng, LiveSession, RecommenderSpec, SessionConfig, SessionId,
+    SessionStore, StoreConfig,
 };
 use proptest::prelude::*;
 
@@ -327,4 +329,48 @@ fn serving_outcomes_survive_capacity_pressure() {
         assert_eq!(a.converged, s.converged, "session {}", a.id);
         assert_eq!(a.precision, s.precision, "session {}", a.id);
     }
+}
+
+/// Content-equal catalogs that arrive as distinct `Arc`s — as every catalog
+/// deserialised off the wire does — resolve to one shared `Arc` through the
+/// store-wide interner, whichever shard the sessions land on, and still do
+/// after the store is rebuilt from its exported journal.
+#[test]
+fn content_equal_catalogs_share_one_interned_arc() {
+    let rows = vec![
+        vec![0.6, 0.2],
+        vec![0.4, 0.4],
+        vec![0.2, 0.4],
+        vec![0.9, 0.8],
+        vec![0.3, 0.7],
+    ];
+    let config = StoreConfig {
+        shards: 2,
+        capacity_per_shard: 4,
+    };
+    let mut store = SessionStore::new(config).unwrap();
+    // `engine_config` builds a fresh `Arc` per call; create sessions until
+    // two of them sit on different shards.
+    let first = store.create(engine_config(&rows, 1)).unwrap();
+    let mut seed = 2;
+    let second = loop {
+        let id = store.create(engine_config(&rows, seed)).unwrap();
+        if shard_of(id, 2) != shard_of(first, 2) {
+            break id;
+        }
+        seed += 1;
+    };
+    let shared = |store: &SessionStore| {
+        std::sync::Arc::ptr_eq(
+            &store.session_config(first).unwrap().catalog,
+            &store.session_config(second).unwrap().catalog,
+        )
+    };
+    assert!(shared(&store), "content-equal catalogs intern to one Arc");
+
+    let rebuilt = SessionStore::from_journal(config, &store.export_journal()).unwrap();
+    assert!(
+        shared(&rebuilt),
+        "journal adoption interns the recovered catalogs too"
+    );
 }
