@@ -26,7 +26,10 @@
 //! assert_eq!(engine.context().max_package_size(), 2);
 //! ```
 
+use std::sync::Arc;
+
 use pkgrec_gmm::GaussianMixture;
+use pkgrec_topk::SortedLists;
 
 use crate::engine::{EngineConfig, RecommenderEngine};
 use crate::error::{CoreError, Result};
@@ -65,7 +68,8 @@ pub fn validate_num_threads(num_threads: usize) -> Result<()> {
 /// accumulated configuration against the catalog and constructs the engine.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
+    sorted_lists: Option<Arc<SortedLists>>,
     profile: Profile,
     max_package_size: usize,
     config: EngineConfig,
@@ -73,9 +77,10 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    pub(crate) fn new(catalog: Catalog, profile: Profile) -> Self {
+    pub(crate) fn new(catalog: impl Into<Arc<Catalog>>, profile: Profile) -> Self {
         EngineBuilder {
-            catalog,
+            catalog: catalog.into(),
+            sorted_lists: None,
             profile,
             max_package_size: DEFAULT_MAX_PACKAGE_SIZE,
             config: EngineConfig::default(),
@@ -143,6 +148,15 @@ impl EngineBuilder {
         self
     }
 
+    /// Shares a prebuilt [`SortedLists`] index of the builder's catalog
+    /// instead of building one, so a fleet of engines over one catalog holds
+    /// one index.  [`EngineBuilder::build`] rejects an index whose points
+    /// differ (bit for bit) from the catalog's rows.
+    pub fn sorted_lists(mut self, lists: Arc<SortedLists>) -> Self {
+        self.sorted_lists = Some(lists);
+        self
+    }
+
     /// Replaces the accumulated configuration wholesale (escape hatch for
     /// callers that already hold an [`EngineConfig`]).
     pub fn config(mut self, config: EngineConfig) -> Self {
@@ -175,6 +189,17 @@ impl EngineBuilder {
                 self.catalog.len()
             )));
         }
+        let sorted_lists = match self.sorted_lists {
+            Some(lists) => {
+                if !indexes_catalog(&lists, &self.catalog) {
+                    return Err(CoreError::InvalidConfig(
+                        "the shared sorted-lists index was not built over this catalog".into(),
+                    ));
+                }
+                lists
+            }
+            None => Arc::new(SortedLists::new(self.catalog.rows())),
+        };
         let context = AggregationContext::new(self.profile, &self.catalog, self.max_package_size)?;
         let prior = GaussianMixture::default_prior(
             context.dim(),
@@ -183,6 +208,7 @@ impl EngineBuilder {
         )?;
         Ok(RecommenderEngine::assemble(
             self.catalog,
+            sorted_lists,
             context,
             prior,
             PreferenceStore::new(),
@@ -192,6 +218,20 @@ impl EngineBuilder {
             self.num_threads,
         ))
     }
+}
+
+/// Whether `lists` indexes exactly `catalog`'s rows.  The order lists are a
+/// deterministic function of the points, so equal points mean an equal index.
+fn indexes_catalog(lists: &SortedLists, catalog: &Catalog) -> bool {
+    lists.len() == catalog.len()
+        && lists.dim() == catalog.num_features()
+        && catalog.iter().all(|(id, row)| {
+            lists
+                .point(id)
+                .iter()
+                .zip(row)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        })
 }
 
 #[cfg(test)]
@@ -320,6 +360,32 @@ mod tests {
             .max_package_size(2)
             .build();
         assert!(matches!(result, Err(CoreError::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn shared_catalog_and_index_are_held_not_copied() {
+        let shared = Arc::new(catalog());
+        let lists = Arc::new(SortedLists::new(shared.rows()));
+        let engine = RecommenderEngine::builder(shared.clone(), Profile::cost_quality())
+            .max_package_size(2)
+            .sorted_lists(lists.clone())
+            .build()
+            .unwrap();
+        assert!(std::ptr::eq(engine.catalog(), shared.as_ref()));
+        assert!(std::ptr::eq(engine.sorted_lists(), lists.as_ref()));
+        assert!(std::ptr::eq(engine.clone().catalog(), shared.as_ref()));
+    }
+
+    #[test]
+    fn an_index_of_another_catalog_is_rejected() {
+        let mut rows = catalog().rows().to_vec();
+        rows[2][1] = 0.41;
+        let foreign = Arc::new(SortedLists::new(&rows));
+        let msg = invalid_message(builder().sorted_lists(foreign).build());
+        assert!(msg.contains("sorted-lists index"), "{msg}");
+        let shorter = Arc::new(SortedLists::new(&rows[..3]));
+        let msg = invalid_message(builder().sorted_lists(shorter).build());
+        assert!(msg.contains("sorted-lists index"), "{msg}");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! [`crate::recommender::Recommender`] trait, and persist them with
 //! [`RecommenderEngine::snapshot`] / [`RecommenderEngine::restore`].
 
+use std::sync::Arc;
+
 use pkgrec_gmm::GaussianMixture;
 use pkgrec_topk::SortedLists;
 use rand::RngCore;
@@ -21,7 +23,7 @@ use crate::package::Package;
 use crate::preferences::{Preference, PreferenceStore};
 use crate::profile::{AggregationContext, Profile};
 use crate::ranking::{aggregate, PerSampleRanking, RankedPackage, RankingSemantics};
-use crate::recommender::{self, Feedback};
+use crate::recommender::{self, DiscoveryMemo, Feedback};
 use crate::sampler::{SamplePool, SamplerKind};
 use crate::search::AggregatedSearchStats;
 
@@ -107,7 +109,9 @@ impl EngineConfig {
 /// The interactive package recommender.
 #[derive(Debug, Clone)]
 pub struct RecommenderEngine {
-    catalog: Catalog,
+    /// The catalog, shared with every other engine built over the same
+    /// `Arc` (a clone copies the pointer, not the rows).
+    catalog: Arc<Catalog>,
     context: AggregationContext,
     prior: GaussianMixture,
     preferences: PreferenceStore,
@@ -117,11 +121,18 @@ pub struct RecommenderEngine {
     /// OS threads the scoring stack may use (a process-local deployment knob,
     /// not session state — snapshots neither store nor restore it).
     num_threads: usize,
-    /// Per-feature sorted item lists over the catalog, built once at
-    /// construction and shared by every per-sample `Top-k-Pkg` run (the order
-    /// is weight-independent; only scan directions vary per sample).  Derived
-    /// state: snapshots do not store it, restoration rebuilds it.
-    sorted_lists: SortedLists,
+    /// Per-feature sorted item lists over the catalog, shared by every
+    /// per-sample `Top-k-Pkg` run (the order is weight-independent; only scan
+    /// directions vary per sample).  Derived state: the builder either takes
+    /// an index shared with other engines over the same catalog
+    /// ([`EngineBuilder::sorted_lists`]) or builds one, snapshots do not
+    /// store it, and a restored engine builds its own.
+    sorted_lists: Arc<SortedLists>,
+    /// Each pool slot's last `Top-k-Pkg` result, keyed on the slot's exact
+    /// row bits, so a present or recommend searches only the rows that
+    /// changed (process-local working state, not session state — snapshots
+    /// neither store nor restore it, and a clone copies it).
+    discovery: DiscoveryMemo,
     /// Aggregated `Top-k-Pkg` statistics across the engine's lifetime
     /// (process-local observability, not session state — snapshots neither
     /// store nor restore it).
@@ -131,6 +142,10 @@ pub struct RecommenderEngine {
     /// call (process-local observability like `search_stats`; snapshots
     /// neither store nor restore it).
     samples_reused: usize,
+    /// Pool rows whose discovery the memo served without a search,
+    /// accumulated across the engine's lifetime (process-local
+    /// observability like `samples_reused`).
+    discovery_memo_hits: usize,
 }
 
 impl RecommenderEngine {
@@ -150,7 +165,10 @@ impl RecommenderEngine {
     ///     .unwrap();
     /// assert_eq!(engine.config().k, 2);
     /// ```
-    pub fn builder(catalog: Catalog, profile: Profile) -> EngineBuilder {
+    ///
+    /// The catalog may be owned or an `Arc` shared with other engines; either
+    /// way the engine holds it behind an `Arc` and never copies the rows.
+    pub fn builder(catalog: impl Into<Arc<Catalog>>, profile: Profile) -> EngineBuilder {
         EngineBuilder::new(catalog, profile)
     }
 
@@ -158,7 +176,8 @@ impl RecommenderEngine {
     /// and by snapshot restoration).
     #[allow(clippy::too_many_arguments)] // one slot per validated engine part
     pub(crate) fn assemble(
-        catalog: Catalog,
+        catalog: Arc<Catalog>,
+        sorted_lists: Arc<SortedLists>,
         context: AggregationContext,
         prior: GaussianMixture,
         preferences: PreferenceStore,
@@ -167,7 +186,6 @@ impl RecommenderEngine {
         rounds: usize,
         num_threads: usize,
     ) -> Self {
-        let sorted_lists = SortedLists::new(catalog.rows());
         RecommenderEngine {
             catalog,
             context,
@@ -178,8 +196,10 @@ impl RecommenderEngine {
             rounds,
             num_threads,
             sorted_lists,
+            discovery: DiscoveryMemo::default(),
             search_stats: AggregatedSearchStats::default(),
             samples_reused: 0,
+            discovery_memo_hits: 0,
         }
     }
 
@@ -223,14 +243,17 @@ impl RecommenderEngine {
         self.num_threads
     }
 
-    /// The catalog's per-feature sorted item lists, built once at engine
-    /// construction and reused by every per-sample package search.
+    /// The catalog's per-feature sorted item lists, built once per catalog
+    /// (or handed to the builder) and reused by every per-sample package
+    /// search.
     pub fn sorted_lists(&self) -> &SortedLists {
         &self.sorted_lists
     }
 
-    /// Aggregated `Top-k-Pkg` statistics across every recommendation the
-    /// engine has computed (the counter baseline for search-performance work).
+    /// Aggregated statistics of every `Top-k-Pkg` search the engine has run
+    /// (the counter baseline for search-performance work).  Rows served from
+    /// the discovery memo run no search and count in
+    /// [`RecommenderEngine::discovery_memo_hits`] instead.
     pub fn search_stats(&self) -> AggregatedSearchStats {
         self.search_stats
     }
@@ -283,24 +306,40 @@ impl RecommenderEngine {
         self.samples_reused
     }
 
+    /// Cumulative number of pool rows whose `Top-k-Pkg` result the
+    /// discovery memo reused instead of searching again, across every
+    /// ranking of this engine's lifetime (process-local, like
+    /// [`RecommenderEngine::samples_reused`]; a restored engine starts at 0
+    /// with a cold memo).
+    pub fn discovery_memo_hits(&self) -> usize {
+        self.discovery_memo_hits
+    }
+
     fn per_sample_k(&self) -> usize {
         self.config.semantics.per_sample_depth(self.config.k)
     }
 
     /// Computes the per-sample top-k package rankings for the current pool,
     /// batched through the scoring kernel over the engine's cached sorted
-    /// lists and split across the configured number of threads.  The runs'
-    /// search statistics accumulate into [`RecommenderEngine::search_stats`].
+    /// lists and split across the configured number of threads.  Only the
+    /// pool rows that changed since the previous ranking run `Top-k-Pkg`;
+    /// the rest reuse their memoized packages, and every row is scored
+    /// afresh.  The searches' statistics accumulate into
+    /// [`RecommenderEngine::search_stats`], the reused rows into
+    /// [`RecommenderEngine::discovery_memo_hits`].
     pub fn per_sample_rankings(&mut self) -> Result<Vec<PerSampleRanking>> {
-        let (rankings, stats) = recommender::per_sample_rankings_indexed(
+        let depth = self.per_sample_k();
+        let (rankings, stats, hits) = recommender::per_sample_rankings_memoized(
+            &mut self.discovery,
             &self.context,
             &self.catalog,
             &self.sorted_lists,
             &self.pool,
-            self.per_sample_k(),
+            depth,
             self.num_threads,
         )?;
         self.search_stats.merge(&stats);
+        self.discovery_memo_hits += hits;
         Ok(rankings)
     }
 

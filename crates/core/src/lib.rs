@@ -117,6 +117,7 @@ pub use maintenance::{
 };
 pub use noise::NoiseModel;
 pub use package::{enumerate_packages, package_space_size, random_package, Package};
+pub use pkgrec_topk::SortedLists;
 pub use preferences::{Preference, PreferenceStore};
 pub use profile::{AggregateFn, AggregationContext, PackageState, Profile};
 pub use ranking::{aggregate, PerSampleRanking, RankedPackage, RankingSemantics};

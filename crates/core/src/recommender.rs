@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::RecommenderEngine;
 use crate::error::{CoreError, Result};
-use crate::item::Catalog;
+use crate::item::{Catalog, ItemId};
 use crate::package::{random_package, Package};
 use crate::profile::AggregationContext;
 use crate::ranking::{self, PerSampleRanking, RankedPackage};
@@ -106,105 +106,242 @@ pub fn per_sample_rankings(
     per_sample_rankings_threaded(context, catalog, pool, depth, 1)
 }
 
-/// Runs every sample's candidate discovery (`Top-k-Pkg` over the shared
-/// sorted-lists index) and collects, per sample, the discovered packages as
-/// indices into a deduplicated candidate list whose feature vectors
-/// accumulate in one flat [`CandidateMatrix`], plus the aggregated search
-/// statistics of every run.
-#[allow(clippy::type_complexity)] // one tuple slot per discovery artefact
+/// Marks the unused tail of a package's block in [`DiscoveryMemo`] (never a
+/// valid item id: a catalog cannot hold `usize::MAX` items).
+const NO_ITEM: ItemId = ItemId::MAX;
+
+/// Per-slot memo of candidate discovery across rounds.
+///
+/// For one pool slot, the `Top-k-Pkg` result is a pure function of the
+/// slot's weight row, the catalog, its [`SortedLists`] index, the search
+/// depth and the aggregation context — and an engine fixes everything but
+/// the row for its whole lifetime.  So the memo keys each slot on the exact
+/// bits of the row it last searched ([`f64::to_bits`]): a row that
+/// maintenance or resampling replaced (or a slot that is new) differs and is
+/// searched again, and an unchanged row reuses its packages.  No pool
+/// mutator needs to notify the memo, and it cannot go stale.
+///
+/// A slot's packages are stored flat, as `depth` blocks of φ item ids each,
+/// a package's items followed by [`NO_ITEM`] padding (a block starting with
+/// it holds no package), so a resident engine keeps a few bytes per item
+/// rather than one allocation per package.
+///
+/// The memo is process-local working state, like the engine's thread budget:
+/// snapshots never carry it, a restored engine starts cold and a cloned
+/// engine copies it.  Its buffers are reused in place from round to round.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DiscoveryMemo {
+    /// Number of slots held.
+    slots: usize,
+    /// Row dimensionality, search depth and φ the slots were laid out for.
+    shape: (usize, usize, usize),
+    /// The bits of each slot's weight row (`slots × dim`, row-major): the
+    /// exact key its packages were found under.
+    keys: Vec<u64>,
+    /// Each slot's packages, best first (`slots × depth × φ` item ids).
+    items: Vec<ItemId>,
+    /// The slots to search this round (empty between rounds; kept for its
+    /// capacity).
+    misses: Vec<usize>,
+}
+
+impl DiscoveryMemo {
+    /// Brings every slot up to date with `pool`, searching only the slots
+    /// whose row bits changed.  Returns the statistics of the searches
+    /// actually run and the number of slots reused without a search.  On a
+    /// search error the memo is emptied, so no slot keeps a key whose
+    /// packages were never computed.
+    fn refresh(
+        &mut self,
+        context: &AggregationContext,
+        catalog: &Catalog,
+        lists: &SortedLists,
+        pool: &SamplePool,
+        depth: usize,
+        num_threads: usize,
+    ) -> Result<(AggregatedSearchStats, usize)> {
+        let (dim, phi) = (pool.dim(), context.max_package_size());
+        let stride = depth * phi;
+        if self.shape != (dim, depth, phi) {
+            self.slots = 0;
+            self.shape = (dim, depth, phi);
+        }
+        let cached = self.slots.min(pool.len());
+        self.slots = pool.len();
+        self.keys.resize(self.slots * dim, 0);
+        self.items.resize(self.slots * stride, NO_ITEM);
+        self.misses.clear();
+        for slot in 0..self.slots {
+            let row = pool.get(slot).weights;
+            let key = &mut self.keys[slot * dim..(slot + 1) * dim];
+            if slot >= cached || key.iter().zip(row).any(|(k, w)| *k != w.to_bits()) {
+                for (k, w) in key.iter_mut().zip(row) {
+                    *k = w.to_bits();
+                }
+                self.misses.push(slot);
+            }
+        }
+        let hits = self.slots - self.misses.len();
+        // The threads split the misses, not the slots, so every thread budget
+        // runs the same searches and records the same statistics.
+        let threads = num_threads.max(1).min(self.misses.len());
+        let searched = if self.misses.is_empty() {
+            Ok(AggregatedSearchStats::default())
+        } else if threads == 1 || stride == 0 {
+            // Serial (or nothing to stage): search straight into the slots.
+            SlotSearch::new(context, catalog, lists, depth).and_then(|mut search| {
+                for &slot in &self.misses {
+                    let out = &mut self.items[slot * stride..(slot + 1) * stride];
+                    search.run(pool.get(slot).weights, out)?;
+                }
+                Ok(search.stats)
+            })
+        } else {
+            // Each thread fills its own stretch of a staging buffer, which
+            // is then copied into the misses' slots.
+            let chunk = self.misses.len().div_ceil(threads);
+            let mut staged = vec![NO_ITEM; self.misses.len() * stride];
+            let searched = std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .misses
+                    .chunks(chunk)
+                    .zip(staged.chunks_mut(chunk * stride))
+                    .map(|(misses, staged)| {
+                        scope.spawn(move || {
+                            let mut search = SlotSearch::new(context, catalog, lists, depth)?;
+                            for (&slot, out) in misses.iter().zip(staged.chunks_exact_mut(stride)) {
+                                search.run(pool.get(slot).weights, out)?;
+                            }
+                            Ok(search.stats)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().try_fold(
+                    AggregatedSearchStats::default(),
+                    |mut stats, handle| {
+                        let chunk: Result<AggregatedSearchStats> =
+                            handle.join().expect("discovery thread does not panic");
+                        stats.merge(&chunk?);
+                        Ok(stats)
+                    },
+                )
+            });
+            for (&slot, block) in self.misses.iter().zip(staged.chunks_exact(stride)) {
+                self.items[slot * stride..(slot + 1) * stride].copy_from_slice(block);
+            }
+            searched
+        };
+        self.misses.clear();
+        if searched.is_err() {
+            self.slots = 0;
+        }
+        searched.map(|stats| (stats, hits))
+    }
+
+    /// Slot `slot`'s packages, best first, as item slices.
+    fn packages(&self, slot: usize) -> impl Iterator<Item = &[ItemId]> + '_ {
+        let (_, depth, phi) = self.shape;
+        self.items[slot * depth * phi..(slot + 1) * depth * phi]
+            .chunks_exact(phi)
+            .map(move |block| &block[..block.iter().position(|&i| i == NO_ITEM).unwrap_or(phi)])
+            .take_while(|items| !items.is_empty())
+    }
+}
+
+/// One thread's `Top-k-Pkg` runner: a utility and a [`SearchScratch`] reused
+/// across every slot it searches, plus the runs' aggregated statistics.
+struct SlotSearch<'a> {
+    catalog: &'a Catalog,
+    lists: &'a SortedLists,
+    depth: usize,
+    utility: LinearUtility,
+    scratch: SearchScratch,
+    stats: AggregatedSearchStats,
+}
+
+impl<'a> SlotSearch<'a> {
+    fn new(
+        context: &AggregationContext,
+        catalog: &'a Catalog,
+        lists: &'a SortedLists,
+        depth: usize,
+    ) -> Result<Self> {
+        Ok(SlotSearch {
+            catalog,
+            lists,
+            depth,
+            utility: LinearUtility::new(context.clone(), vec![0.0; context.dim()])?,
+            scratch: SearchScratch::new(),
+            stats: AggregatedSearchStats::default(),
+        })
+    }
+
+    /// Searches under `weights` and writes the packages into `out`, one
+    /// φ-item block per package, padded with [`NO_ITEM`].
+    fn run(&mut self, weights: &[f64], out: &mut [ItemId]) -> Result<()> {
+        self.utility.set_weights(weights)?;
+        let result = top_k_packages_with_scratch(
+            &self.utility,
+            self.catalog,
+            self.lists,
+            self.depth,
+            &mut self.scratch,
+        )?;
+        self.stats.record(&result.stats);
+        out.fill(NO_ITEM);
+        let phi = self.utility.max_package_size();
+        for (block, (package, _)) in out.chunks_exact_mut(phi).zip(&result.packages) {
+            block[..package.len()].copy_from_slice(package.items());
+        }
+        Ok(())
+    }
+}
+
+/// One round of candidate discovery over a pool.
+pub(crate) struct Discovery {
+    /// The deduplicated union of every slot's packages, in first-seen order.
+    candidates: Vec<Package>,
+    /// The candidates' feature vectors, one row each.
+    vectors: CandidateMatrix,
+    /// Per slot, its packages (best first) as indices into `candidates`.
+    per_sample: Vec<Vec<usize>>,
+    /// Statistics of the searches actually run.
+    stats: AggregatedSearchStats,
+    /// Slots whose packages came from the memo without a search.
+    memo_hits: usize,
+}
+
+/// Discovers every slot's candidate packages (`Top-k-Pkg` over the shared
+/// sorted-lists index), searching only the slots `memo` does not already
+/// hold for their current row, and collects, per slot, the discovered
+/// packages as indices into a deduplicated candidate list whose feature
+/// vectors accumulate in one flat [`CandidateMatrix`].
 pub(crate) fn discover_candidates(
+    memo: &mut DiscoveryMemo,
     context: &AggregationContext,
     catalog: &Catalog,
     lists: &SortedLists,
     pool: &SamplePool,
     depth: usize,
     num_threads: usize,
-) -> Result<(
-    Vec<Package>,
-    CandidateMatrix,
-    Vec<Vec<usize>>,
-    AggregatedSearchStats,
-)> {
-    let sample_count = pool.len();
-    let threads = num_threads.max(1).min(sample_count);
-    let mut stats = AggregatedSearchStats::default();
-    // Per-sample package lists, best first, in pool order.
-    let discovered: Vec<Vec<Package>> = if threads <= 1 {
-        let mut utility = LinearUtility::new(context.clone(), vec![0.0; context.dim()])?;
-        let mut scratch = SearchScratch::new();
-        let mut found = Vec::with_capacity(sample_count);
-        for sample in pool.samples() {
-            utility.set_weights(sample.weights)?;
-            let result =
-                top_k_packages_with_scratch(&utility, catalog, lists, depth, &mut scratch)?;
-            stats.record(&result.stats);
-            found.push(result.into_packages());
-        }
-        found
-    } else {
-        // Data-parallel split: contiguous chunks of the pool per OS thread,
-        // each owning its utility, its candidate arena and its per-access
-        // scratch buffers ([`SearchScratch`]) but all sharing the one
-        // immutable index; chunk results are re-joined in pool order, so the
-        // outcome is identical to the serial path.
-        let chunk = sample_count.div_ceil(threads);
-        type ChunkResult = Result<(Vec<Vec<Package>>, AggregatedSearchStats)>;
-        let chunks: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let first = t * chunk;
-                    let last = ((t + 1) * chunk).min(sample_count);
-                    scope.spawn(move || -> ChunkResult {
-                        let mut utility =
-                            LinearUtility::new(context.clone(), vec![0.0; context.dim()])?;
-                        let mut scratch = SearchScratch::new();
-                        let mut chunk_stats = AggregatedSearchStats::default();
-                        let found = (first..last)
-                            .map(|s| {
-                                utility.set_weights(pool.get(s).weights)?;
-                                let result = top_k_packages_with_scratch(
-                                    &utility,
-                                    catalog,
-                                    lists,
-                                    depth,
-                                    &mut scratch,
-                                )?;
-                                chunk_stats.record(&result.stats);
-                                Ok(result.into_packages())
-                            })
-                            .collect::<Result<Vec<Vec<Package>>>>()?;
-                        Ok((found, chunk_stats))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("discovery thread does not panic"))
-                .collect()
-        });
-        let mut found = Vec::with_capacity(sample_count);
-        for chunk_result in chunks {
-            let (chunk_found, chunk_stats) = chunk_result?;
-            found.extend(chunk_found);
-            stats.merge(&chunk_stats);
-        }
-        found
-    };
+) -> Result<Discovery> {
+    let (stats, memo_hits) = memo.refresh(context, catalog, lists, pool, depth, num_threads)?;
     // Deduplicate the union of discovered packages into the flat candidate
-    // matrix; each sample's list becomes indices into it.
+    // matrix; each slot's list becomes indices into it.
     let mut candidates: Vec<Package> = Vec::new();
     let mut vectors = CandidateMatrix::new(context.dim());
-    let mut index_of: HashMap<Package, usize> = HashMap::new();
-    let mut per_sample = Vec::with_capacity(sample_count);
-    for list in discovered {
-        let mut indices = Vec::with_capacity(list.len());
-        for package in list {
-            let index = match index_of.get(&package) {
+    let mut index_of: HashMap<&[ItemId], usize> = HashMap::new();
+    let mut per_sample = Vec::with_capacity(pool.len());
+    for slot in 0..pool.len() {
+        let mut indices = Vec::with_capacity(depth);
+        for items in memo.packages(slot) {
+            let index = match index_of.get(items) {
                 Some(&i) => i,
                 None => {
                     let i = candidates.len();
+                    let package = Package::new(items.to_vec())?;
                     vectors.push_row(&context.package_vector(catalog, &package)?);
-                    index_of.insert(package.clone(), i);
+                    index_of.insert(items, i);
                     candidates.push(package);
                     i
                 }
@@ -213,7 +350,13 @@ pub(crate) fn discover_candidates(
         }
         per_sample.push(indices);
     }
-    Ok((candidates, vectors, per_sample, stats))
+    Ok(Discovery {
+        candidates,
+        vectors,
+        per_sample,
+        stats,
+        memo_hits,
+    })
 }
 
 /// [`per_sample_rankings`] with the scoring stack split across up to
@@ -249,9 +392,9 @@ pub fn per_sample_rankings_threaded(
 /// prebuilt, catalog-cached [`SortedLists`] index (the per-feature item order
 /// is weight-independent, so one index serves every sample of every round),
 /// returning the per-sample rankings together with the aggregated search
-/// statistics of all the `Top-k-Pkg` runs.  The engine and the pool-based
-/// baselines call this form; the wrappers above rebuild the index per call
-/// for one-shot callers.
+/// statistics of all the `Top-k-Pkg` runs.  Every call searches every pool
+/// row; the pool-based baselines and the Figure 6 harness call this form,
+/// and the wrappers above rebuild the index per call for one-shot callers.
 pub fn per_sample_rankings_indexed(
     context: &AggregationContext,
     catalog: &Catalog,
@@ -260,20 +403,38 @@ pub fn per_sample_rankings_indexed(
     depth: usize,
     num_threads: usize,
 ) -> Result<(Vec<PerSampleRanking>, AggregatedSearchStats)> {
+    let mut memo = DiscoveryMemo::default();
+    per_sample_rankings_memoized(&mut memo, context, catalog, lists, pool, depth, num_threads)
+        .map(|(rankings, stats, _)| (rankings, stats))
+}
+
+/// [`per_sample_rankings_indexed`] over a discovery memo: only the rows the
+/// memo does not already hold are searched, the kernel and the readback run
+/// as ever.  Returns the rankings, the statistics of the searches actually
+/// run and the number of rows served from the memo.
+pub(crate) fn per_sample_rankings_memoized(
+    memo: &mut DiscoveryMemo,
+    context: &AggregationContext,
+    catalog: &Catalog,
+    lists: &SortedLists,
+    pool: &SamplePool,
+    depth: usize,
+    num_threads: usize,
+) -> Result<(Vec<PerSampleRanking>, AggregatedSearchStats, usize)> {
     if pool.is_empty() {
-        return Ok((Vec::new(), AggregatedSearchStats::default()));
+        return Ok((Vec::new(), AggregatedSearchStats::default(), 0));
     }
-    let (candidates, vectors, per_sample, stats) =
-        discover_candidates(context, catalog, lists, pool, depth, num_threads)?;
-    let scores = score_batch_threaded(&vectors, pool.weight_matrix(), num_threads);
+    let discovery = discover_candidates(memo, context, catalog, lists, pool, depth, num_threads)?;
+    let scores = score_batch_threaded(&discovery.vectors, pool.weight_matrix(), num_threads);
     Ok((
         ranking::per_sample_rankings_from_scores(
-            &candidates,
+            &discovery.candidates,
             &scores,
             pool.importances(),
-            &per_sample,
+            &discovery.per_sample,
         ),
-        stats,
+        discovery.stats,
+        discovery.memo_hits,
     ))
 }
 
@@ -454,6 +615,73 @@ mod tests {
                 .unwrap()
                 .is_empty()
         );
+    }
+
+    #[test]
+    fn memo_searches_exactly_the_slots_whose_row_bits_changed() {
+        use crate::sampler::{SamplerKind, WeightSampler};
+        use pkgrec_gmm::GaussianMixture;
+
+        let engine = engine();
+        let (context, catalog) = (engine.context(), engine.catalog());
+        let lists = SortedLists::new(catalog.rows());
+        let prior = GaussianMixture::default_prior(2, 1, 0.5).unwrap();
+        let checker = crate::constraints::ConstraintChecker::full(
+            &crate::preferences::PreferenceStore::new(),
+            2,
+        );
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut pool = SamplerKind::mcmc()
+            .generate(&prior, &checker, 20, &mut rng)
+            .unwrap()
+            .pool;
+        let mut memo = DiscoveryMemo::default();
+        // Each step must rank exactly as the memo-free path does, running
+        // `searches` searches and reusing the other slots.
+        let step = |memo: &mut DiscoveryMemo, pool: &SamplePool, searches: usize| {
+            let (rankings, stats, hits) =
+                per_sample_rankings_memoized(memo, context, catalog, &lists, pool, 3, 1).unwrap();
+            let (uncached, _) =
+                per_sample_rankings_indexed(context, catalog, &lists, pool, 3, 1).unwrap();
+            assert_eq!(rankings, uncached);
+            assert_eq!((stats.searches, hits), (searches, pool.len() - searches));
+        };
+        step(&mut memo, &pool, 20);
+        step(&mut memo, &pool, 0);
+
+        // Rewriting a slot with identical bits (even with a new importance)
+        // hits; rewriting one with different bits misses.
+        let same = pool.get(3).weights.to_vec();
+        pool.set_sample(3, &same, 0.25);
+        let other = pool.get(0).weights.to_vec();
+        pool.set_sample(5, &other, 1.0);
+        step(&mut memo, &pool, 1);
+
+        // Bits, not values, and every coordinate: -0.0 == 0.0 in the last
+        // coordinate, yet the rewritten slot misses.
+        pool.set_sample(7, &[0.5, 0.0], 1.0);
+        step(&mut memo, &pool, 1);
+        pool.set_sample(7, &[0.5, -0.0], 1.0);
+        step(&mut memo, &pool, 1);
+
+        // Slots appended after a shrink are new, even with old contents.
+        let tail = pool.get(19).weights.to_vec();
+        let mut shrunk = SamplePool::new();
+        for sample in pool.samples().take(10) {
+            shrunk.push_sample(sample.weights, sample.importance);
+        }
+        step(&mut memo, &shrunk, 0);
+        shrunk.push_sample(&tail, 1.0);
+        step(&mut memo, &shrunk, 1);
+
+        // A failed search empties the memo, so nothing stale survives it.
+        let mut broken = shrunk.clone();
+        broken.set_sample(2, &[f64::NAN, 0.5], 1.0);
+        assert!(
+            per_sample_rankings_memoized(&mut memo, context, catalog, &lists, &broken, 3, 1)
+                .is_err()
+        );
+        step(&mut memo, &shrunk, 11);
     }
 
     #[test]

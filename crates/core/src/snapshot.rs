@@ -23,7 +23,10 @@
 //! stored columnar in memory, so the snapshot layout survived the columnar
 //! refactor unchanged and [`SNAPSHOT_VERSION`] did not need to move.
 
+use std::sync::Arc;
+
 use pkgrec_gmm::GaussianMixture;
+use pkgrec_topk::SortedLists;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{EngineConfig, RecommenderEngine};
@@ -127,8 +130,10 @@ impl RecommenderEngine {
             snapshot.config.prior_components,
             snapshot.config.prior_sigma,
         )?;
+        let lists = SortedLists::new(snapshot.catalog.rows());
         Ok(RecommenderEngine::assemble(
-            snapshot.catalog,
+            Arc::new(snapshot.catalog),
+            Arc::new(lists),
             context,
             prior,
             snapshot.preferences,

@@ -22,9 +22,11 @@
 //!   the recorded operation count and therefore sees the same streams the
 //!   uninterrupted session would have.
 
+use std::sync::Arc;
+
 use pkgrec_baselines::BaselineSpec;
 use pkgrec_core::{
-    Catalog, CoreError, EngineConfig, Profile, Recommender, RecommenderEngine, Result,
+    Catalog, CoreError, EngineConfig, Profile, Recommender, RecommenderEngine, Result, SortedLists,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,12 +125,13 @@ impl RecommenderSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// The item catalog the session recommends from.  Shared behind an
-    /// [`Arc`](std::sync::Arc): a fleet of sessions over one storefront
-    /// clones a pointer, not the catalog — the config is copied into every
-    /// journal `Created` event, so by-value storage would multiply catalog
-    /// memory by the session count.  (Serialisation stays transparent; each
-    /// deserialised config gets its own fresh `Arc`.)
-    pub catalog: std::sync::Arc<Catalog>,
+    /// [`Arc`]: a fleet of sessions over one storefront clones a pointer,
+    /// not the catalog — the config is copied into every journal `Created`
+    /// event and an engine built from it holds the same `Arc`, so by-value
+    /// storage would multiply catalog memory by the session count.
+    /// (Serialisation stays transparent; each deserialised config gets its
+    /// own fresh `Arc`.)
+    pub catalog: Arc<Catalog>,
     /// The aggregate feature profile.
     pub profile: Profile,
     /// The maximum package size φ.
@@ -141,15 +144,27 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Builds the live session this configuration describes.
+    /// Builds the live session this configuration describes.  An engine
+    /// shares the config's catalog `Arc` and indexes it afresh.
     pub fn build(&self) -> Result<LiveSession> {
+        self.build_indexed(None)
+    }
+
+    /// [`SessionConfig::build`], with an engine sharing `index` — a
+    /// [`SortedLists`] prebuilt over `self.catalog` — instead of building its
+    /// own.  Baselines ignore it.
+    pub(crate) fn build_indexed(&self, index: Option<Arc<SortedLists>>) -> Result<LiveSession> {
         match &self.spec {
-            RecommenderSpec::Engine(config) => Ok(LiveSession::Engine(Box::new(
-                RecommenderEngine::builder(self.catalog.as_ref().clone(), self.profile.clone())
-                    .max_package_size(self.max_package_size)
-                    .config(config.clone())
-                    .build()?,
-            ))),
+            RecommenderSpec::Engine(config) => {
+                let mut builder =
+                    RecommenderEngine::builder(self.catalog.clone(), self.profile.clone())
+                        .max_package_size(self.max_package_size)
+                        .config(config.clone());
+                if let Some(index) = index {
+                    builder = builder.sorted_lists(index);
+                }
+                Ok(LiveSession::Engine(Box::new(builder.build()?)))
+            }
             RecommenderSpec::Baseline(spec) => Ok(LiveSession::Baseline(spec.build(
                 self.catalog.as_ref().clone(),
                 self.profile.clone(),

@@ -34,10 +34,13 @@ use std::sync::{Arc, Mutex, Weak};
 
 use pkgrec_core::{
     Catalog, CoreError, Feedback, Package, RankedPackage, Recommender, RecommenderState, Result,
+    SortedLists,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::config::{catalog_fingerprint, op_rng, shard_of, LiveSession, SessionConfig, SessionId};
+use crate::config::{
+    catalog_fingerprint, op_rng, shard_of, LiveSession, RecommenderSpec, SessionConfig, SessionId,
+};
 use crate::durable::{read_manifest, shard_dir, write_manifest, DurabilityConfig, ShardLog};
 use crate::fault::FaultInjector;
 use crate::journal::{Journal, SessionEvent};
@@ -163,7 +166,9 @@ pub struct CompactionStats {
 }
 
 /// The store-wide catalog intern table: content-equal catalogs resolve to
-/// one shared `Arc`, whichever shard created the session.
+/// one shared `Arc`, whichever shard created the session, and each interned
+/// catalog's [`SortedLists`] index is built once and shared by every engine
+/// created over it.
 ///
 /// A session's config keeps the `Arc<Catalog>` it was created with for the
 /// session's whole life, spilled or live.  Catalogs that arrive off the
@@ -174,30 +179,67 @@ pub struct CompactionStats {
 ///
 /// Keyed by [`catalog_fingerprint`] with full content verification on hit
 /// (a colliding fingerprint forms its own entry).  Holds [`Weak`] handles,
-/// so dropping a fleet releases its catalogs.  The mutex is touched only
-/// at session creation and journal adoption, never on the per-op hot path.
+/// so dropping a fleet releases its catalogs, and an index lives as long as
+/// some live engine uses it (the next engine over the catalog rebuilds it).
+/// The mutex is touched only at session creation and journal adoption,
+/// never on the per-op hot path.
 #[derive(Clone, Default)]
 pub(crate) struct CatalogInterner {
-    by_fingerprint: Arc<Mutex<HashMap<u64, Vec<Weak<Catalog>>>>>,
+    by_fingerprint: Arc<Mutex<HashMap<u64, Vec<Interned>>>>,
+}
+
+/// One interned catalog and, once an engine asked for it, its index.
+struct Interned {
+    catalog: Weak<Catalog>,
+    index: Weak<SortedLists>,
 }
 
 impl CatalogInterner {
     /// Resolves `catalog` to the store's canonical `Arc` for its content,
     /// registering it as the canonical handle if the content is new.
     fn intern(&self, catalog: Arc<Catalog>) -> Arc<Catalog> {
+        self.resolve(catalog, false).0
+    }
+
+    /// [`CatalogInterner::intern`], plus the canonical catalog's shared
+    /// [`SortedLists`] index, built here if no live engine holds it.
+    fn intern_indexed(&self, catalog: Arc<Catalog>) -> (Arc<Catalog>, Arc<SortedLists>) {
+        let (catalog, index) = self.resolve(catalog, true);
+        (catalog, index.expect("an index was asked for"))
+    }
+
+    fn resolve(
+        &self,
+        catalog: Arc<Catalog>,
+        indexed: bool,
+    ) -> (Arc<Catalog>, Option<Arc<SortedLists>>) {
         let fingerprint = catalog_fingerprint(&catalog);
         let mut table = self.by_fingerprint.lock().expect("interner poisoned");
         let slot = table.entry(fingerprint).or_default();
-        slot.retain(|weak| weak.strong_count() > 0);
-        for weak in slot.iter() {
-            if let Some(existing) = weak.upgrade() {
-                if Arc::ptr_eq(&existing, &catalog) || *existing == *catalog {
-                    return existing;
-                }
+        slot.retain(|entry| entry.catalog.strong_count() > 0);
+        let found = slot.iter().enumerate().find_map(|(position, entry)| {
+            let existing = entry.catalog.upgrade()?;
+            (Arc::ptr_eq(&existing, &catalog) || *existing == *catalog)
+                .then_some((position, existing))
+        });
+        let (entry, catalog) = match found {
+            Some((position, existing)) => (&mut slot[position], existing),
+            None => {
+                slot.push(Interned {
+                    catalog: Arc::downgrade(&catalog),
+                    index: Weak::new(),
+                });
+                (slot.last_mut().expect("just pushed"), catalog)
             }
-        }
-        slot.push(Arc::downgrade(&catalog));
-        catalog
+        };
+        let index = indexed.then(|| {
+            entry.index.upgrade().unwrap_or_else(|| {
+                let index = Arc::new(SortedLists::new(catalog.rows()));
+                entry.index = Arc::downgrade(&index);
+                index
+            })
+        });
+        (catalog, index)
     }
 }
 
@@ -550,9 +592,16 @@ impl Shard {
         }
         // Resolve the catalog to the store's canonical handle first, so
         // content-equal catalogs — notably configs deserialised off the
-        // wire, which arrive one fresh allocation each — share one `Arc`.
-        config.catalog = self.interner.intern(config.catalog);
-        let live = config.build()?;
+        // wire, which arrive one fresh allocation each — share one `Arc`,
+        // and engines over it share one index.
+        let live = if matches!(config.spec, RecommenderSpec::Engine(_)) {
+            let (catalog, index) = self.interner.intern_indexed(config.catalog);
+            config.catalog = catalog;
+            config.build_indexed(Some(index))?
+        } else {
+            config.catalog = self.interner.intern(config.catalog);
+            config.build()?
+        };
         self.insert(id, config, live)
     }
 
@@ -1233,10 +1282,11 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{user_rng, RecommenderSpec};
+    use crate::config::user_rng;
     use pkgrec_baselines::{BaselineSpec, FeatureDirection};
     use pkgrec_core::{
-        AggregationContext, Catalog, EngineConfig, LinearUtility, Profile, SimulatedUser,
+        AggregationContext, Catalog, EngineConfig, LinearUtility, Profile, RecommenderEngine,
+        SimulatedUser,
     };
 
     /// The index a hidden-utility user clicks — clicks sampled this way are
@@ -1317,6 +1367,38 @@ mod tests {
         assert!(matches!(
             store.feedback(fresh, Feedback::Skip),
             Err(CoreError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn engines_over_one_catalog_share_its_rows_and_index() {
+        let mut store = SessionStore::new(StoreConfig {
+            shards: 2,
+            capacity_per_shard: 8,
+        })
+        .unwrap();
+        // Each config carries its own fresh catalog allocation.
+        let ids: Vec<SessionId> = (0..4)
+            .map(|seed| store.create(engine_session(seed)).unwrap())
+            .collect();
+        let engine = |id: SessionId| -> &RecommenderEngine {
+            let shard = &store.shards[shard_of(id, store.shards.len())];
+            match &shard.sessions[&id].live {
+                Some(LiveSession::Engine(engine)) => engine,
+                _ => panic!("{id} is a live engine"),
+            }
+        };
+        let first = engine(ids[0]);
+        for &id in &ids[1..] {
+            assert!(std::ptr::eq(engine(id).catalog(), first.catalog()));
+            assert!(std::ptr::eq(
+                engine(id).sorted_lists(),
+                first.sorted_lists()
+            ));
+        }
+        assert!(std::ptr::eq(
+            first.catalog(),
+            store.session_config(ids[0]).unwrap().catalog.as_ref()
         ));
     }
 

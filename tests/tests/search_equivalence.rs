@@ -299,8 +299,20 @@ fn engine_cached_sorted_lists_equal_freshly_built_ones() {
     assert_eq!(via_cache, via_fresh);
 }
 
-/// The engine accumulates one search per pool sample per recommendation and
-/// exposes the totals through both the accessor and the `Recommender` state.
+/// The bits of every pool row, for counting the rows a step changed.
+fn pool_bits(engine: &RecommenderEngine) -> Vec<Vec<u64>> {
+    engine
+        .pool()
+        .samples()
+        .map(|s| s.weights.iter().map(|w| w.to_bits()).collect())
+        .collect()
+}
+
+/// The engine runs one search per pool row whose bits changed since its last
+/// ranking — every row on the first recommendation, none on a repeat over an
+/// unchanged pool, exactly the rewritten rows after feedback — and exposes
+/// the totals through both the accessor and the `Recommender` state, with
+/// the reused rows counted as discovery memo hits.
 #[test]
 fn engine_aggregates_search_stats_across_recommendations() {
     use rand::SeedableRng;
@@ -316,13 +328,42 @@ fn engine_aggregates_search_stats_across_recommendations() {
     engine.recommend(&mut rng).unwrap();
     let after_one = engine.search_stats();
     assert_eq!(after_one.searches, 25);
+    assert_eq!(engine.discovery_memo_hits(), 0);
     assert!(after_one.sorted_accesses > 0);
     assert!(after_one.candidates_created > 0);
     engine.recommend(&mut rng).unwrap();
     let after_two = engine.search_stats();
-    assert_eq!(after_two.searches, 50);
+    assert_eq!(after_two.searches, 25);
+    assert_eq!(engine.discovery_memo_hits(), 25);
     let recommender: &dyn Recommender = &engine;
     assert_eq!(recommender.state().search, after_two);
+
+    // Feedback rewrites some rows in place; the next ranking searches
+    // exactly those and reuses the rest.
+    let shown = engine.present(&mut rng).unwrap();
+    assert_eq!(engine.search_stats().searches, 25);
+    assert_eq!(engine.discovery_memo_hits(), 50);
+    let before = pool_bits(&engine);
+    engine
+        .record_feedback(
+            &shown,
+            Feedback::Pairwise {
+                preferred: 0,
+                over: 1,
+            },
+            &mut rng,
+        )
+        .unwrap();
+    let after = pool_bits(&engine);
+    assert_eq!(after.len(), 25);
+    let changed = (0..after.len())
+        .filter(|&slot| before.get(slot) != Some(&after[slot]))
+        .count();
+    assert!(changed > 0, "the feedback rewrote no pool row");
+    engine.recommend(&mut rng).unwrap();
+    assert_eq!(engine.search_stats().searches, 25 + changed);
+    assert_eq!(engine.discovery_memo_hits(), 50 + 25 - changed);
+
     engine.reset_search_stats();
     assert_eq!(engine.search_stats(), AggregatedSearchStats::default());
 }
