@@ -104,12 +104,34 @@ impl Profile {
 /// Algorithms 2–4 repeatedly extend candidate packages by one item; keeping
 /// per-feature running sums/minima/maxima makes each extension `O(m)` instead
 /// of `O(m · |p|)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct PackageState {
     size: usize,
     sum: Vec<f64>,
     min: Vec<f64>,
     max: Vec<f64>,
+}
+
+/// Written out so that `clone_from` copies field by field into the target's
+/// buffers: enumerations that fold each candidate from a per-depth prefix
+/// state then run without allocating (the derived `clone_from` would build
+/// three fresh `Vec`s per call).
+impl Clone for PackageState {
+    fn clone(&self) -> Self {
+        PackageState {
+            size: self.size,
+            sum: self.sum.clone(),
+            min: self.min.clone(),
+            max: self.max.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.size = source.size;
+        self.sum.clone_from(&source.sum);
+        self.min.clone_from(&source.min);
+        self.max.clone_from(&source.max);
+    }
 }
 
 impl PackageState {
@@ -400,6 +422,22 @@ mod tests {
             .package_vector(&catalog, &Package::new(vec![0, 2]).unwrap())
             .unwrap();
         assert_eq!(incremental, batch);
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffers() {
+        let catalog = figure1_catalog();
+        let mut source = PackageState::empty(2);
+        source.add_item(catalog.item(1).unwrap());
+        source.add_item(catalog.item(2).unwrap());
+        let mut target = PackageState::empty(2);
+        target.add_item(catalog.item(0).unwrap());
+        let buffers = |s: &PackageState| [s.sum.as_ptr(), s.min.as_ptr(), s.max.as_ptr()];
+        let before = buffers(&target);
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(buffers(&target), before);
+        assert_eq!(source.clone(), source);
     }
 
     #[test]

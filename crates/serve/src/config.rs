@@ -144,8 +144,9 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Builds the live session this configuration describes.  An engine
-    /// shares the config's catalog `Arc` and indexes it afresh.
+    /// Builds the live session this configuration describes.  Every
+    /// session shares the config's catalog `Arc`; an engine indexes it
+    /// afresh.
     pub fn build(&self) -> Result<LiveSession> {
         self.build_indexed(None)
     }
@@ -166,7 +167,7 @@ impl SessionConfig {
                 Ok(LiveSession::Engine(Box::new(builder.build()?)))
             }
             RecommenderSpec::Baseline(spec) => Ok(LiveSession::Baseline(spec.build(
-                self.catalog.as_ref().clone(),
+                self.catalog.clone(),
                 self.profile.clone(),
                 self.max_package_size,
             )?)),

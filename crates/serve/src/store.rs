@@ -1463,6 +1463,40 @@ mod tests {
     }
 
     #[test]
+    fn skyline_sessions_share_the_interned_catalog_and_refuse_an_empty_package_space() {
+        let mut store = SessionStore::new(StoreConfig {
+            shards: 1,
+            capacity_per_shard: 4,
+        })
+        .unwrap();
+        let engine = store.create(engine_session(8)).unwrap();
+        let skyline = store.create(skyline_session(9)).unwrap();
+        let held = |store: &mut SessionStore, id| {
+            store
+                .with_session(id, |r| r.catalog() as *const Catalog)
+                .unwrap()
+        };
+        assert_eq!(held(&mut store, engine), held(&mut store, skyline));
+
+        // φ = 7 admits cardinality 7, but the catalog has six rows: the
+        // create fails before anything is journaled.
+        let events = store.stats().journal_events;
+        let mut oversized = skyline_session(10);
+        oversized.max_package_size = 7;
+        oversized.spec = RecommenderSpec::Baseline(BaselineSpec::Skyline {
+            cardinality: 7,
+            directions: vec![FeatureDirection::Minimize, FeatureDirection::Maximize],
+            k: 2,
+        });
+        assert!(matches!(
+            store.create(oversized),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert_eq!(store.stats().journal_events, events);
+        assert_eq!(store.session_ids(), vec![engine, skyline]);
+    }
+
+    #[test]
     fn lru_capacity_eviction_spills_the_coldest_session() {
         let mut store = SessionStore::new(StoreConfig {
             shards: 1,
